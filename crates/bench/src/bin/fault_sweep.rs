@@ -8,10 +8,8 @@
 //! and LCS completion time must not fall as the fault rate grows — exit
 //! code 1 on violation), and writes `BENCH_fault.json`. `--digest`
 //! additionally writes a deterministic fingerprint: an FNV-1a hash over
-//! the per-point simulated counters plus the traced-machine fallback
-//! count, so CI can diff a plain run against a `--threads 4` run and
-//! prove the fault paths schedule-independent (and that both runs used
-//! the engine they asked for).
+//! the per-point simulated counters, so CI can diff a plain run against a
+//! `--threads 4` run and prove the fault paths schedule-independent.
 
 use jm_bench::faultb;
 
@@ -40,9 +38,7 @@ fn main() {
 
     if let Some(path) = digest_path {
         let stats_hash = jm_trace::fnv1a(report.digest_lines().as_bytes());
-        let fallbacks = jm_machine::parallel_trace_fallbacks();
-        let fingerprint =
-            format!("jm-fault-digest v1\nstats {stats_hash:016x}\nfallbacks {fallbacks}\n");
+        let fingerprint = format!("jm-fault-digest v1\nstats {stats_hash:016x}\n");
         std::fs::write(&path, &fingerprint).expect("write digest");
         print!("{fingerprint}");
     }

@@ -26,8 +26,10 @@
 //! `verify --log x.jmrp` with no overrides is a pure determinism check of
 //! the recording environment itself.
 
-use jm_machine::{Engine, FaultSpec, FaultWindow, MachineConfig, MachineFactory, StartPolicy};
-use jm_machine::{JMachine, SchedMode};
+use jm_machine::{
+    Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineFactory, StartPolicy,
+};
+use jm_net::ScanPolicy;
 use jm_replay::{Divergence, ReplayLog, DEFAULT_INTERVAL};
 use std::process::ExitCode;
 
@@ -45,11 +47,11 @@ fn parse_engine(s: &str) -> Engine {
     }
 }
 
-fn parse_sched(s: &str) -> SchedMode {
+fn parse_scan(s: &str) -> ScanPolicy {
     match s {
-        "auto" => SchedMode::Auto,
-        "event" => SchedMode::ForcedEvent,
-        "scan" => SchedMode::ForcedScan,
+        "auto" => ScanPolicy::Auto,
+        "event" => ScanPolicy::ForcedSparse,
+        "scan" => ScanPolicy::ForcedDense,
         _ => panic!("--sched takes auto, event, or scan, not {s:?}"),
     }
 }
@@ -78,7 +80,7 @@ fn factory(arg: &impl Fn(&str) -> Option<String>) -> MachineFactory {
         f = f.quantum(q.parse().expect("--quantum takes a number"));
     }
     if let Some(s) = arg("--sched") {
-        f = f.sched_mode(parse_sched(&s));
+        f = f.scan(parse_scan(&s));
     }
     f
 }

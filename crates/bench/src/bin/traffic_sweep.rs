@@ -12,10 +12,9 @@
 //! gates on weak monotonicity (offered and accepted message counts must
 //! not fall as the load grows — exit code 1 on violation), and writes
 //! `BENCH_traffic.json`. `--digest` additionally writes a deterministic
-//! fingerprint: an FNV-1a hash over the per-point simulated counters plus
-//! the traced-machine fallback count, so CI can diff a plain run against
-//! a `--threads 4` run and prove the generator and its accept/drop
-//! decisions schedule-independent.
+//! fingerprint: an FNV-1a hash over the per-point simulated counters, so
+//! CI can diff a plain run against a `--threads 4` run and prove the
+//! generator and its accept/drop decisions schedule-independent.
 
 use jm_bench::traffic;
 
@@ -99,9 +98,7 @@ fn main() {
 
     if let Some(path) = digest_path {
         let stats_hash = jm_trace::fnv1a(report.digest_lines().as_bytes());
-        let fallbacks = jm_machine::parallel_trace_fallbacks();
-        let fingerprint =
-            format!("jm-traffic-digest v1\nstats {stats_hash:016x}\nfallbacks {fallbacks}\n");
+        let fingerprint = format!("jm-traffic-digest v1\nstats {stats_hash:016x}\n");
         std::fs::write(&path, &fingerprint).expect("write digest");
         print!("{fingerprint}");
     }

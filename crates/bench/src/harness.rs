@@ -1,62 +1,7 @@
-//! A minimal self-timed benchmark harness.
-//!
-//! The workspace builds hermetically (no registry access), so `criterion`
-//! is out; this module provides the small slice of it the benches need:
-//! warmup, repeated timed runs, and a median-of-samples report. Use it from
-//! a `harness = false` bench target or a binary.
+//! Host-side measurement helpers for the harness binaries: wall-clock
+//! timing of one workload run and the process's peak resident memory.
 
 use std::time::{Duration, Instant};
-
-/// One benchmark measurement.
-#[derive(Debug, Clone)]
-pub struct Sample {
-    /// Benchmark name.
-    pub name: String,
-    /// Median wall-clock time per iteration.
-    pub median: Duration,
-    /// Fastest observed iteration.
-    pub min: Duration,
-    /// Iterations per timed sample.
-    pub iters: u32,
-}
-
-impl Sample {
-    /// Nanoseconds per iteration (median).
-    pub fn nanos_per_iter(&self) -> f64 {
-        self.median.as_nanos() as f64 / f64::from(self.iters)
-    }
-}
-
-/// Times `f`, calling it in batches of `iters`, for `samples` samples after
-/// one warmup batch. Reports the per-iteration median and minimum.
-pub fn bench<F: FnMut()>(name: &str, iters: u32, samples: u32, mut f: F) -> Sample {
-    for _ in 0..iters {
-        f(); // warmup batch
-    }
-    let mut times: Vec<Duration> = (0..samples.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            t0.elapsed()
-        })
-        .collect();
-    times.sort();
-    let sample = Sample {
-        name: name.to_string(),
-        median: times[times.len() / 2],
-        min: times[0],
-        iters,
-    };
-    println!(
-        "{:<40} {:>12.1} ns/iter (min {:.1})",
-        sample.name,
-        sample.nanos_per_iter(),
-        sample.min.as_nanos() as f64 / f64::from(sample.iters),
-    );
-    sample
-}
 
 /// Times a single run of `f` (for whole-workload measurements), returning
 /// the wall-clock duration and the closure's output.
@@ -90,15 +35,6 @@ pub fn peak_rss_mib() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reports_positive_times() {
-        let s = bench("spin", 10, 3, || {
-            std::hint::black_box((0..100).sum::<u64>());
-        });
-        assert!(s.nanos_per_iter() > 0.0);
-        assert!(s.min <= s.median);
-    }
 
     #[test]
     fn time_once_returns_output() {

@@ -44,52 +44,10 @@ pub enum Engine {
     /// `DESIGN.md` §4.10). Results are bit-identical to the other engines
     /// for every thread count and every quantum. `Parallel(1)` runs the
     /// event engine's sequential path. Machines built with lifecycle
-    /// tracing enabled are an error unless the config opts into
-    /// [`TraceFallback::Allow`] (trace ids need a global injection
-    /// counter).
+    /// tracing enabled are an error
+    /// ([`MachineError::TraceUnsupportedUnderParallel`](crate::MachineError):
+    /// trace ids need a global injection counter).
     Parallel(u32),
-}
-
-/// What to do when a machine requests [`Engine::Parallel`] with lifecycle
-/// tracing enabled. Trace ids are injection ordinals from one global
-/// counter, which sharded injection does not maintain, so the combination
-/// cannot run threaded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceFallback {
-    /// Refuse to build the machine
-    /// ([`MachineError::TraceUnsupportedUnderParallel`](crate::MachineError)).
-    /// The default: a benchmark that asks for the parallel engine must not
-    /// silently measure a different one.
-    #[default]
-    Error,
-    /// Fall back to [`Engine::Event`] — bit-identical by construction, so
-    /// the trace describes exactly what the parallel engine would have
-    /// simulated. The fallback is counted
-    /// ([`parallel_trace_fallbacks`](crate::parallel_trace_fallbacks)) and
-    /// logged so run metadata can name the engine that actually executed.
-    Allow,
-}
-
-/// How the event engine's per-shard scheduler advances due nodes.
-///
-/// `Auto` (the default) watches measured occupancy — the number of nodes
-/// that actually ticked in the cycle just run — and flips between the
-/// wake-up heap (sparse activity) and a dense scan of the wake table
-/// (saturated activity). The up-switch threshold (5/8 of the shard's nodes)
-/// sits well above the down-switch threshold (1/4), so a load hovering near
-/// either cannot thrash the switch. All three modes are bit-identical — the
-/// differential suite runs them side by side — because due nodes tick in
-/// ascending id order under both strategies; only the cost of *finding*
-/// them changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// Congestion-aware switching with hysteresis.
-    #[default]
-    Auto,
-    /// Always use the wake-up heap (the classic event engine).
-    ForcedEvent,
-    /// Always use the dense wake-table scan.
-    ForcedScan,
 }
 
 /// Process-wide default-engine override (see [`Engine::set_default`]).
@@ -167,7 +125,9 @@ pub struct MachineConfig {
     pub dims: MeshDims,
     /// Per-node configuration.
     pub mdp: MdpConfig,
-    /// Network configuration (dims must match `dims`).
+    /// Network configuration (dims must match `dims`). Its
+    /// [`scan`](NetConfig::scan) policy also drives the event scheduler's
+    /// wake-up-heap / dense-scan switch.
     pub net: NetConfig,
     /// Background start policy.
     pub start: StartPolicy,
@@ -175,8 +135,6 @@ pub struct MachineConfig {
     pub engine: Engine,
     /// Lifecycle tracing (off by default).
     pub trace: TraceConfig,
-    /// Policy for tracing + [`Engine::Parallel`] (an error by default).
-    pub trace_fallback: TraceFallback,
     /// Parallel-engine quantum: simulated cycles between global
     /// coordination points (quiescence/error/idle-skip checks). `0` (the
     /// default) picks automatically. Purely a host-performance knob —
@@ -186,8 +144,6 @@ pub struct MachineConfig {
     /// cycle after the error; see `DESIGN.md` §4.10). Ignored by the
     /// sequential engines.
     pub quantum: u32,
-    /// Scheduler advance strategy (auto-switching by default).
-    pub sched: SchedMode,
     /// Fault-injection plan (none by default). A vacuous spec — no windows,
     /// zero rates, no checksums — canonicalizes to no plan at machine
     /// build, so it takes the exact fault-free code paths.
@@ -206,20 +162,7 @@ impl MachineConfig {
     /// Panics if `nodes` cannot be factored into a mesh (see
     /// [`MeshDims::for_nodes`]).
     pub fn new(nodes: u32) -> MachineConfig {
-        let dims = MeshDims::for_nodes(nodes);
-        MachineConfig {
-            dims,
-            mdp: MdpConfig::default(),
-            net: NetConfig::new(dims),
-            start: StartPolicy::default(),
-            engine: Engine::default(),
-            trace: TraceConfig::default(),
-            trace_fallback: TraceFallback::default(),
-            quantum: 0,
-            sched: SchedMode::default(),
-            fault: None,
-            traffic: None,
-        }
+        MachineConfig::with_dims(MeshDims::for_nodes(nodes))
     }
 
     /// Machine with explicit mesh dimensions.
@@ -231,9 +174,7 @@ impl MachineConfig {
             start: StartPolicy::default(),
             engine: Engine::default(),
             trace: TraceConfig::default(),
-            trace_fallback: TraceFallback::default(),
             quantum: 0,
-            sched: SchedMode::default(),
             fault: None,
             traffic: None,
         }
@@ -274,22 +215,10 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the tracing + parallel-engine policy (builder style).
-    pub fn trace_fallback(mut self, policy: TraceFallback) -> MachineConfig {
-        self.trace_fallback = policy;
-        self
-    }
-
     /// Sets the parallel-engine quantum in cycles, `0` = auto (builder
     /// style).
     pub fn quantum(mut self, quantum: u32) -> MachineConfig {
         self.quantum = quantum;
-        self
-    }
-
-    /// Sets the scheduler advance strategy (builder style).
-    pub fn sched_mode(mut self, sched: SchedMode) -> MachineConfig {
-        self.sched = sched;
         self
     }
 

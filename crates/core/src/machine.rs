@@ -8,7 +8,7 @@
 //! results; `DESIGN.md` ("Simulation engine scheduling") gives the
 //! invariants and the cycle-exactness argument.
 
-use crate::config::{Engine, MachineConfig, SchedMode, StartPolicy, TraceFallback};
+use crate::config::{Engine, MachineConfig, StartPolicy};
 use crate::stats::MachineStats;
 use jm_asm::Program;
 use jm_fault::{checksum_words, FaultPlan};
@@ -24,21 +24,7 @@ use jm_traffic::TrafficPlan;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Process-wide count of traced runs that requested [`Engine::Parallel`]
-/// and were built on [`Engine::Event`] instead (see [`JMachine::new`]).
-static PARALLEL_TRACE_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-/// How many machines in this process requested the parallel engine with
-/// tracing enabled and silently-equivalently ran the event engine instead.
-/// Harness binaries record this in their run metadata (e.g. the
-/// `fault_sweep --digest` output) so a digest names the engine that
-/// actually executed, not just the one requested.
-pub fn parallel_trace_fallbacks() -> u64 {
-    PARALLEL_TRACE_FALLBACKS.load(Ordering::Relaxed)
-}
 
 /// A machine-level failure.
 #[derive(Debug, Clone)]
@@ -61,13 +47,9 @@ pub enum MachineError {
         nodes: Vec<NodeId>,
     },
     /// The configuration asked for [`Engine::Parallel`] with lifecycle
-    /// tracing enabled, without opting into a fallback. Trace ids are
-    /// injection ordinals from one global counter, which sharded injection
-    /// does not maintain — run traced machines on [`Engine::Event`]
-    /// (bit-identical), or set
-    /// [`TraceFallback::Allow`](crate::TraceFallback) to let the machine do
-    /// that itself (counted, so run metadata can name the engine that
-    /// actually executed).
+    /// tracing enabled. Trace ids are injection ordinals from one global
+    /// counter, which sharded injection does not maintain — run traced
+    /// machines on [`Engine::Event`] (bit-identical).
     TraceUnsupportedUnderParallel,
 }
 
@@ -94,8 +76,7 @@ impl fmt::Display for MachineError {
             }
             MachineError::TraceUnsupportedUnderParallel => write!(
                 f,
-                "lifecycle tracing is unsupported under Engine::Parallel; \
-                 use Engine::Event or opt into TraceFallback::Allow"
+                "lifecycle tracing is unsupported under Engine::Parallel; use Engine::Event"
             ),
         }
     }
@@ -177,21 +158,21 @@ pub(crate) struct EventSched {
     pub(crate) pump_scratch: Vec<u32>,
     /// Current advance strategy.
     pub(crate) mode: ScanMode,
-    /// Switching policy (from [`MachineConfig::sched`]).
-    policy: SchedMode,
+    /// Switching policy (from [`MachineConfig::net`]'s `scan`).
+    policy: ScanPolicy,
 }
 
 impl EventSched {
     /// Every node starts scheduled for cycle 0 — the first step ticks them
     /// all once, exactly like the naive engine, and the workless ones park.
     /// `nodes` is the covered slice (ids `base .. base + nodes.len()`).
-    fn new(nodes: &[MdpNode], base: usize, policy: SchedMode) -> EventSched {
+    fn new(nodes: &[MdpNode], base: usize, policy: ScanPolicy) -> EventSched {
         let n = nodes.len();
         let has_work: Vec<bool> = nodes.iter().map(MdpNode::has_work).collect();
         let work_count = has_work.iter().filter(|&&w| w).count();
         let mode = match policy {
-            SchedMode::ForcedScan => ScanMode::Dense,
-            SchedMode::Auto | SchedMode::ForcedEvent => ScanMode::Heap,
+            ScanPolicy::ForcedDense => ScanMode::Dense,
+            ScanPolicy::Auto | ScanPolicy::ForcedSparse => ScanMode::Heap,
         };
         EventSched {
             base,
@@ -225,7 +206,7 @@ impl EventSched {
     /// the hysteresis — a load sitting between the thresholds keeps
     /// whatever mode it is in.
     pub(crate) fn retune(&mut self, ticked: usize) {
-        if self.policy != SchedMode::Auto {
+        if self.policy != ScanPolicy::Auto {
             return;
         }
         let n = self.wake_at.len();
@@ -344,38 +325,20 @@ impl JMachine {
     /// # Errors
     ///
     /// [`MachineError::TraceUnsupportedUnderParallel`] when the config
-    /// enables lifecycle tracing under [`Engine::Parallel`] without opting
-    /// into [`TraceFallback::Allow`] — a benchmark that asked for the
-    /// parallel engine must not silently measure a different one.
+    /// enables lifecycle tracing under [`Engine::Parallel`] — a benchmark
+    /// that asked for the parallel engine must not silently measure a
+    /// different one.
     ///
     /// # Panics
     ///
     /// Panics if the program fails validation (assembled programs are
     /// always valid).
-    pub fn try_new(program: Program, config: MachineConfig) -> Result<JMachine, MachineError> {
+    pub fn try_new(program: Program, mut config: MachineConfig) -> Result<JMachine, MachineError> {
         program.validate().expect("invalid program image");
-        let mut config = config;
         if config.trace.enabled && matches!(config.engine, Engine::Parallel(_)) {
             // Trace ids are injection ordinals from one global counter,
             // which sharded injection does not maintain.
-            match config.trace_fallback {
-                TraceFallback::Error => {
-                    return Err(MachineError::TraceUnsupportedUnderParallel);
-                }
-                TraceFallback::Allow => {
-                    // Fall back to the event engine — bit-identical by
-                    // construction, so the trace describes exactly what the
-                    // parallel engine would have simulated. Counted and
-                    // logged so run metadata can name the engine that
-                    // actually executed.
-                    PARALLEL_TRACE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "jm-machine: warning: traced machine requested {:?}; running Engine::Event instead (bit-identical)",
-                        config.engine
-                    );
-                    config.engine = Engine::Event;
-                }
-            }
+            return Err(MachineError::TraceUnsupportedUnderParallel);
         }
         // Canonicalize the fault plan: a vacuous spec is no plan at all, so
         // every fault hook below stays on its fault-free path.
@@ -383,13 +346,6 @@ impl JMachine {
         config.mdp.checksum_msgs = fault.is_some_and(|p| p.checksums());
         // Same canonicalization for the synthetic-traffic plan.
         let traffic = config.traffic.and_then(TrafficPlan::from_spec);
-        // One knob drives both congestion-aware switches: the scheduler's
-        // heap/dense choice and the net layer's active-set/occupancy scan.
-        config.net.scan = match config.sched {
-            SchedMode::Auto => ScanPolicy::Auto,
-            SchedMode::ForcedEvent => ScanPolicy::ForcedSparse,
-            SchedMode::ForcedScan => ScanPolicy::ForcedDense,
-        };
         // Slab count for the parallel engine: about two z-slabs per worker,
         // but never finer than two z-planes per slab. Over-decomposing gives
         // the crew slack to balance activity — a worker whose home slab
@@ -433,7 +389,11 @@ impl JMachine {
             parts
                 .iter()
                 .map(|s| {
-                    EventSched::new(&nodes[s.base()..s.base() + s.len()], s.base(), config.sched)
+                    EventSched::new(
+                        &nodes[s.base()..s.base() + s.len()],
+                        s.base(),
+                        config.net.scan,
+                    )
                 })
                 .collect()
         };
@@ -1195,23 +1155,17 @@ mod tests {
     }
 
     #[test]
-    fn traced_parallel_errors_unless_fallback_allowed() {
-        use crate::config::{TraceConfig, TraceFallback};
+    fn traced_parallel_is_rejected() {
+        use crate::config::TraceConfig;
         let cfg = MachineConfig::new(8)
             .engine(Engine::Parallel(2))
             .trace(TraceConfig::on());
-        // Default policy: refuse to build — a benchmark that asked for the
-        // parallel engine must not silently measure a different one.
+        // Refuse to build — a benchmark that asked for the parallel engine
+        // must not silently measure a different one.
         match JMachine::try_new(rpc_program(), cfg) {
             Err(MachineError::TraceUnsupportedUnderParallel) => {}
             other => panic!("expected TraceUnsupportedUnderParallel, got {other:?}"),
         }
-        // Opting in falls back to the (bit-identical) event engine and
-        // counts the fallback for run metadata.
-        let before = parallel_trace_fallbacks();
-        let m = JMachine::new(rpc_program(), cfg.trace_fallback(TraceFallback::Allow));
-        assert_eq!(m.config().engine, Engine::Event);
-        assert_eq!(parallel_trace_fallbacks(), before + 1);
     }
 
     #[test]

@@ -24,19 +24,20 @@
 //! * **Re-execution.** [`MachineFactory`] implements
 //!   `jm_replay::ExecFactory`: it rebuilds a machine from a log's recorded
 //!   configuration — optionally overriding the engine, thread count,
-//!   quantum, or scheduler mode, which is the whole point of cross-engine
+//!   quantum, or scan policy, which is the whole point of cross-engine
 //!   verification — and drives it with exact fixed-cycle runs. A
 //!   [`Corruption`] can be attached to inject a deliberate, unrecorded
 //!   single-word divergence at a chosen cycle; the CI acceptance test uses
 //!   it to prove the bisector localizes a fault to the exact cycle and
 //!   component.
 
-use crate::config::{Engine, MachineConfig, SchedMode, StartPolicy};
+use crate::config::{Engine, MachineConfig, StartPolicy};
 use crate::machine::JMachine;
 use jm_isa::consts::FaultKind;
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
+use jm_net::ScanPolicy;
 use jm_replay::{ComponentHash, HostOp, Record, RecordedConfig, ReplayLog};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -290,11 +291,6 @@ fn recorded_config(c: &MachineConfig) -> RecordedConfig {
         engine,
         threads,
         quantum: c.quantum,
-        sched: match c.sched {
-            SchedMode::Auto => 0,
-            SchedMode::ForcedEvent => 1,
-            SchedMode::ForcedScan => 2,
-        },
         mdp: c.mdp,
         net: c.net,
     }
@@ -321,11 +317,6 @@ pub fn recorded_machine_config(log: &ReplayLog) -> MachineConfig {
         _ => Engine::Event,
     };
     cfg.quantum = rc.quantum;
-    cfg.sched = match rc.sched {
-        1 => SchedMode::ForcedEvent,
-        2 => SchedMode::ForcedScan,
-        _ => SchedMode::Auto,
-    };
     cfg.fault = log.fault;
     cfg.traffic = log.traffic;
     cfg
@@ -354,13 +345,13 @@ pub struct Corruption {
 /// Builds [`JMachine`]-backed executions of a replay log
 /// (`jm_replay::ExecFactory`). The default replays under the *recorded*
 /// configuration; the builder methods override the engine (with thread
-/// count), quantum, or scheduler mode — the cross-engine axes the replay
+/// count), quantum, or scan policy — the cross-engine axes the replay
 /// machinery exists to compare — and optionally attach a [`Corruption`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MachineFactory {
     engine: Option<Engine>,
     quantum: Option<u32>,
-    sched: Option<SchedMode>,
+    scan: Option<ScanPolicy>,
     corruption: Option<Corruption>,
 }
 
@@ -382,9 +373,10 @@ impl MachineFactory {
         self
     }
 
-    /// Overrides the scheduler advance strategy (builder style).
-    pub fn sched_mode(mut self, sched: SchedMode) -> MachineFactory {
-        self.sched = Some(sched);
+    /// Overrides the scan policy of the network and the node scheduler
+    /// (builder style).
+    pub fn scan(mut self, scan: ScanPolicy) -> MachineFactory {
+        self.scan = Some(scan);
         self
     }
 
@@ -405,8 +397,8 @@ impl jm_replay::ExecFactory for MachineFactory {
         if let Some(q) = self.quantum {
             cfg.quantum = q;
         }
-        if let Some(s) = self.sched {
-            cfg.sched = s;
+        if let Some(s) = self.scan {
+            cfg.net.scan = s;
         }
         let mut m = JMachine::new(log.program.clone(), cfg);
         // A replayed machine never re-captures, even under global capture.
@@ -568,7 +560,7 @@ mod tests {
             MachineFactory::recorded()
                 .engine(Engine::Parallel(2))
                 .quantum(1),
-            MachineFactory::recorded().sched_mode(SchedMode::ForcedScan),
+            MachineFactory::recorded().scan(ScanPolicy::ForcedDense),
         ] {
             let report = jm_replay::verify(&log, &f);
             assert!(report.clean(), "{f:?}: {report}");
@@ -672,12 +664,12 @@ mod tests {
     #[test]
     fn recorded_config_round_trips() {
         let spec = jm_fault::FaultSpec::new(3).flaky(100_000).checksums(true);
-        let cfg = MachineConfig::new(8)
+        let mut cfg = MachineConfig::new(8)
             .engine(Engine::Parallel(3))
             .quantum(17)
-            .sched_mode(SchedMode::ForcedScan)
             .start(StartPolicy::AllNodes)
             .fault(spec);
+        cfg.net.scan = ScanPolicy::ForcedDense;
         let mut m = JMachine::new(pingpong(4), cfg);
         m.record_replay(64);
         let log = m.finish_replay().unwrap();
@@ -685,7 +677,7 @@ mod tests {
         assert_eq!(back.dims, cfg.dims);
         assert_eq!(back.engine, Engine::Parallel(3));
         assert_eq!(back.quantum, 17);
-        assert_eq!(back.sched, SchedMode::ForcedScan);
+        assert_eq!(back.net.scan, ScanPolicy::ForcedDense);
         assert_eq!(back.start, StartPolicy::AllNodes);
         assert_eq!(back.fault, Some(spec));
     }

@@ -10,15 +10,17 @@ use jm_isa::node::MeshDims;
 /// hysteresis — up-switch at 5/8 of the shard's routers, down-switch at
 /// 1/4, so traffic hovering near one threshold cannot thrash the mode.
 /// The strategies visit the same routers in the same ascending order, so
-/// the choice is unobservable in simulated state.
+/// the choice is unobservable in simulated state. `jm-machine` applies the
+/// same policy, with the same thresholds, to its node scheduler (wake-up
+/// heap for sparse activity, dense wake-table scan for saturated).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanPolicy {
     /// Congestion-aware switching with hysteresis.
     #[default]
     Auto,
-    /// Always iterate the active-router bitset.
+    /// Always iterate the active-router bitset (and the node wake-up heap).
     ForcedSparse,
-    /// Always scan every router's occupancy linearly.
+    /// Always scan every router's occupancy (and node wake table) linearly.
     ForcedDense,
 }
 

@@ -89,14 +89,13 @@ impl Flit {
 
     /// Expands one message word into its two flits.
     ///
-    /// `is_route` marks the route word (stripped at ejection); `tail_word`
-    /// marks the message's final word.
-    #[allow(clippy::too_many_arguments)]
+    /// `route_word` marks the message's first word, the route word: its
+    /// first flit is the head and it carries no payload (it is stripped at
+    /// ejection). `tail_word` marks the message's final word.
     pub fn pair_for_word(
         dest: Coord,
         word: Word,
-        is_route: bool,
-        head_word: bool,
+        route_word: bool,
         tail_word: bool,
         inject_cycle: u64,
         ready_cycle: u64,
@@ -109,14 +108,14 @@ impl Flit {
         let trace = trace.0 as u32;
         let first = Flit {
             dest,
-            flags: if head_word { FLAG_HEAD } else { 0 },
+            flags: if route_word { FLAG_HEAD } else { 0 },
             trace,
             word: Word::NIL,
             inject_cycle,
             ready_cycle,
         };
         let mut flags = if tail_word { FLAG_TAIL } else { 0 };
-        let word = if is_route {
+        let word = if route_word {
             Word::NIL
         } else {
             flags |= FLAG_PAYLOAD;
@@ -150,8 +149,7 @@ mod tests {
     #[test]
     fn route_words_carry_no_payload() {
         let dest = Coord::new(1, 2, 3);
-        let [a, b] =
-            Flit::pair_for_word(dest, Word::int(5), true, true, false, 0, 0, TraceId::NONE);
+        let [a, b] = Flit::pair_for_word(dest, Word::int(5), true, false, 0, 0, TraceId::NONE);
         assert!(a.head() && !b.head());
         assert_eq!(a.payload(), None);
         assert_eq!(b.payload(), None);
@@ -160,7 +158,7 @@ mod tests {
     #[test]
     fn payload_words_complete_on_second_flit() {
         let dest = Coord::new(0, 0, 0);
-        let [a, b] = Flit::pair_for_word(dest, Word::int(9), false, false, true, 7, 9, TraceId(3));
+        let [a, b] = Flit::pair_for_word(dest, Word::int(9), false, true, 7, 9, TraceId(3));
         assert_eq!(a.payload(), None);
         assert_eq!(b.payload(), Some(Word::int(9)));
         assert!(!a.tail() && b.tail());

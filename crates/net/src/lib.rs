@@ -19,7 +19,9 @@
 //!
 //! A message on the wire is the `route`-tagged destination word followed by
 //! the payload words (whose first word must be a `msg` header). Each word is
-//! two flits; the route word is stripped at the ejection port.
+//! two flits; the route word is stripped at the ejection port. Messages
+//! enter the network whole, as the MDP's `SEND`/`SENDE` launch them:
+//! [`Network::commit_msg`] accepts every word or none.
 //!
 //! # Example
 //!
@@ -33,9 +35,8 @@
 //! let route = RouteWord::new(dims.coord(NodeId(1))).to_word();
 //! let header = MsgHeader::new(100, 2).to_word();
 //!
-//! assert_eq!(net.inject(src, MsgPriority::P0, route, false), InjectResult::Accepted);
-//! assert_eq!(net.inject(src, MsgPriority::P0, header, false), InjectResult::Accepted);
-//! assert_eq!(net.inject(src, MsgPriority::P0, Word::int(7), true), InjectResult::Accepted);
+//! let msg = [route, header, Word::int(7)];
+//! assert_eq!(net.commit_msg(src, MsgPriority::P0, &msg), InjectResult::Accepted);
 //!
 //! for _ in 0..40 { net.step(); }
 //! assert_eq!(net.pop_delivered(NodeId(1), MsgPriority::P0), Some(header));

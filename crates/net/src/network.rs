@@ -224,19 +224,6 @@ impl Network {
         &mut self.shards[k]
     }
 
-    /// Offers one word to a node's injection port.
-    ///
-    /// `end` marks the final word of the message (the `SENDE` forms).
-    pub fn inject(
-        &mut self,
-        node: NodeId,
-        priority: MsgPriority,
-        word: Word,
-        end: bool,
-    ) -> InjectResult {
-        self.shard_for(node).inject(node, priority, word, end)
-    }
-
     /// Atomically offers a whole message to a node's injection port: the
     /// route word followed by at least one payload word. Either every word
     /// is accepted or none is.
@@ -330,6 +317,14 @@ mod tests {
     use jm_isa::node::{Coord, MeshDims, RouteWord};
     use jm_isa::word::MsgHeader;
 
+    /// The wire form of a message: `to`'s route word, then `words`.
+    fn framed(net: &Network, to: NodeId, words: &[Word]) -> Vec<Word> {
+        let route = RouteWord::new(net.config().dims.coord(to)).to_word();
+        std::iter::once(route)
+            .chain(words.iter().copied())
+            .collect()
+    }
+
     /// Injects a whole message, pumping the network on FIFO stalls the way
     /// the MDP retries after a send fault.
     fn send_msg(
@@ -339,18 +334,24 @@ mod tests {
         priority: MsgPriority,
         words: &[Word],
     ) {
-        let dims = net.config().dims;
-        let route = RouteWord::new(dims.coord(to)).to_word();
-        let offer = |net: &mut Network, word: Word, end: bool| loop {
-            match net.inject(from, priority, word, end) {
+        let msg = framed(net, to, words);
+        loop {
+            match net.commit_msg(from, priority, &msg) {
                 InjectResult::Accepted => break,
                 InjectResult::Stall => net.step(),
                 InjectResult::BadRoute => panic!("bad route"),
             }
-        };
-        offer(net, route, false);
-        for (i, &w) in words.iter().enumerate() {
-            offer(net, w, i + 1 == words.len());
+        }
+    }
+
+    /// A default configuration with the bulk-advance fast path on or off.
+    /// Timing tests run both ways: a message committed into an empty
+    /// single-shard mesh takes the bulk path, so only `bulk = false` keeps
+    /// the buffered router path covered for it.
+    fn net_config(dims: MeshDims, bulk: bool) -> NetConfig {
+        NetConfig {
+            bulk,
+            ..NetConfig::new(dims)
         }
     }
 
@@ -397,22 +398,24 @@ mod tests {
     fn latency_slope_is_one_cycle_per_hop() {
         // Send the same 2-word message over increasing distances and check
         // the tail-delivery latency increases by 1 cycle per hop.
-        let mut latencies = Vec::new();
-        for x in 1..8u8 {
-            let mut net = Network::new(NetConfig::prototype_512());
-            let to = net.config().dims.id(Coord::new(x, 0, 0));
-            send_msg(
-                &mut net,
-                NodeId(0),
-                to,
-                MsgPriority::P0,
-                &[MsgHeader::new(9, 2).to_word(), Word::int(0)],
-            );
-            assert!(settle(&mut net, 300));
-            latencies.push(net.stats().latency_sum);
-        }
-        for pair in latencies.windows(2) {
-            assert_eq!(pair[1] - pair[0], 1, "latencies {latencies:?}");
+        for bulk in [true, false] {
+            let mut latencies = Vec::new();
+            for x in 1..8u8 {
+                let mut net = Network::new(net_config(MeshDims::prototype_512(), bulk));
+                let to = net.config().dims.id(Coord::new(x, 0, 0));
+                send_msg(
+                    &mut net,
+                    NodeId(0),
+                    to,
+                    MsgPriority::P0,
+                    &[MsgHeader::new(9, 2).to_word(), Word::int(0)],
+                );
+                assert!(settle(&mut net, 300));
+                latencies.push(net.stats().latency_sum);
+            }
+            for pair in latencies.windows(2) {
+                assert_eq!(pair[1] - pair[0], 1, "bulk {bulk}: latencies {latencies:?}");
+            }
         }
     }
 
@@ -420,145 +423,149 @@ mod tests {
     fn bandwidth_is_half_word_per_cycle() {
         // Stream many messages between adjacent nodes; steady-state word
         // delivery rate must approach 0.5 words/cycle.
-        let mut net = Network::new(NetConfig::new(MeshDims::new(2, 1, 1)));
-        let header = MsgHeader::new(1, 8).to_word();
-        let route = RouteWord::new(net.config().dims.coord(NodeId(1))).to_word();
-        // Per-message word stream: route, header, 7 payload words (last ends).
-        let mut pending: Vec<(Word, bool)> = Vec::new();
-        let mut cycles = 0u64;
-        while cycles < 4000 {
-            if pending.is_empty() {
-                pending.push((route, false));
-                pending.push((header, false));
-                for k in 0..7 {
-                    pending.push((Word::int(k), k == 6));
-                }
-                pending.reverse(); // pop from the back
-            }
-            // Offer words until the FIFO stalls.
-            while let Some(&(word, end)) = pending.last() {
-                match net.inject(NodeId(0), MsgPriority::P0, word, end) {
-                    InjectResult::Accepted => {
-                        pending.pop();
+        for bulk in [true, false] {
+            let mut net = Network::new(net_config(MeshDims::new(2, 1, 1), bulk));
+            // Route, header, 7 payload words.
+            let mut words = vec![MsgHeader::new(1, 8).to_word()];
+            words.extend((0..7).map(Word::int));
+            let msg = framed(&net, NodeId(1), &words);
+            let mut cycles = 0u64;
+            while cycles < 4000 {
+                // Offer messages until the FIFO stalls.
+                loop {
+                    match net.commit_msg(NodeId(0), MsgPriority::P0, &msg) {
+                        InjectResult::Accepted => {}
+                        InjectResult::Stall => break,
+                        InjectResult::BadRoute => panic!("bad framing"),
                     }
-                    InjectResult::Stall => break,
-                    InjectResult::BadRoute => panic!("bad framing"),
                 }
+                net.step();
+                cycles += 1;
+                // Drain so ejection never backpressures.
+                while net.pop_delivered(NodeId(1), MsgPriority::P0).is_some() {}
             }
-            net.step();
-            cycles += 1;
-            // Drain so ejection never backpressures.
-            while net.pop_delivered(NodeId(1), MsgPriority::P0).is_some() {}
+            let rate = net.stats().delivered_words as f64 / cycles as f64;
+            assert!(rate > 0.40 && rate <= 0.5, "bulk {bulk}: rate {rate}");
         }
-        let rate = net.stats().delivered_words as f64 / cycles as f64;
-        assert!(rate > 0.40 && rate <= 0.5, "rate {rate}");
     }
 
     #[test]
     fn injection_fifo_stalls_when_full() {
-        let mut net = Network::new(NetConfig::new(MeshDims::new(2, 1, 1)));
-        let dims = net.config().dims;
-        let route = RouteWord::new(dims.coord(NodeId(1))).to_word();
-        let mut accepted = 0;
-        loop {
-            let result = if accepted == 0 {
-                net.inject(NodeId(0), MsgPriority::P0, route, false)
-            } else {
-                net.inject(NodeId(0), MsgPriority::P0, Word::int(1), false)
-            };
-            match result {
-                InjectResult::Accepted => accepted += 1,
-                InjectResult::Stall => break,
-                InjectResult::BadRoute => panic!("bad route"),
+        for bulk in [true, false] {
+            let dims = MeshDims::new(2, 1, 1);
+            let cap = net_config(dims, bulk).inject_fifo;
+            // A message of exactly `cap` flits fits an empty FIFO; one more
+            // word never does.
+            let mut net = Network::new(net_config(dims, bulk));
+            let over = framed(&net, NodeId(1), &vec![Word::int(1); cap / 2]);
+            assert_eq!(
+                net.commit_msg(NodeId(0), MsgPriority::P0, &over),
+                InjectResult::Stall
+            );
+            let full = &over[..cap / 2];
+            assert_eq!(
+                net.commit_msg(NodeId(0), MsgPriority::P0, full),
+                InjectResult::Accepted
+            );
+            let mut net = Network::new(net_config(dims, bulk));
+            // Two-word messages (four flits each) fill the FIFO exactly,
+            // and the next one stalls.
+            let small = framed(&net, NodeId(1), &[Word::int(1)]);
+            let mut accepted = 0;
+            loop {
+                match net.commit_msg(NodeId(0), MsgPriority::P0, &small) {
+                    InjectResult::Accepted => accepted += 1,
+                    InjectResult::Stall => break,
+                    InjectResult::BadRoute => panic!("bad route"),
+                }
+                assert!(accepted < 100, "never stalled");
             }
-            assert!(accepted < 100, "never stalled");
+            assert_eq!(accepted as usize, cap / 4, "bulk {bulk}");
         }
-        assert_eq!(accepted as usize, net.config().inject_fifo / 2);
     }
 
     #[test]
     fn rejects_bad_framing() {
         let mut net = Network::new(NetConfig::new(MeshDims::new(2, 1, 1)));
+        let route = RouteWord::new(Coord::new(1, 0, 0)).to_word();
         // First word must be a route word.
         assert_eq!(
-            net.inject(NodeId(0), MsgPriority::P0, Word::int(1), false),
+            net.commit_msg(NodeId(0), MsgPriority::P0, &[Word::int(1), Word::int(2)]),
             InjectResult::BadRoute
         );
         // Empty messages are rejected.
-        let route = RouteWord::new(Coord::new(1, 0, 0)).to_word();
-        assert_eq!(
-            net.inject(NodeId(0), MsgPriority::P0, route, true),
-            InjectResult::BadRoute
-        );
+        for empty in [&[][..], &[route][..]] {
+            assert_eq!(
+                net.commit_msg(NodeId(0), MsgPriority::P0, empty),
+                InjectResult::BadRoute
+            );
+        }
         // Out-of-range destinations are rejected.
         let bad = RouteWord::new(Coord::new(5, 0, 0)).to_word();
         assert_eq!(
-            net.inject(NodeId(0), MsgPriority::P0, bad, false),
+            net.commit_msg(NodeId(0), MsgPriority::P0, &[bad, Word::int(1)]),
             InjectResult::BadRoute
         );
+        assert_eq!(net.stats().injected_msgs, 0);
     }
 
     #[test]
     fn priority_one_wins_the_channel() {
         // Saturate P0 between nodes 0→1, then send one P1 message; the P1
         // message must be delivered while P0 traffic still flows.
-        let mut net = Network::new(NetConfig::new(MeshDims::new(2, 1, 1)));
-        let dims = net.config().dims;
-        let route = RouteWord::new(dims.coord(NodeId(1))).to_word();
-        // Fill P0 fifo.
-        net.inject(NodeId(0), MsgPriority::P0, route, false);
-        for k in 0..3 {
-            net.inject(
-                NodeId(0),
-                MsgPriority::P0,
-                MsgHeader::new(1, 3).to_word(),
-                k == 2,
+        for bulk in [true, false] {
+            let mut net = Network::new(net_config(MeshDims::new(2, 1, 1), bulk));
+            // Fill P0 fifo.
+            let p0 = framed(&net, NodeId(1), &[MsgHeader::new(1, 3).to_word(); 3]);
+            assert_eq!(
+                net.commit_msg(NodeId(0), MsgPriority::P0, &p0),
+                InjectResult::Accepted
             );
-        }
-        // One P1 message.
-        net.inject(NodeId(0), MsgPriority::P1, route, false);
-        net.inject(
-            NodeId(0),
-            MsgPriority::P1,
-            MsgHeader::new(2, 1).to_word(),
-            true,
-        );
-        let mut p1_cycle = None;
-        for c in 0..200 {
-            net.step();
-            if p1_cycle.is_none() && net.delivered_len(NodeId(1), MsgPriority::P1) > 0 {
-                p1_cycle = Some(c);
+            // One P1 message.
+            let p1 = framed(&net, NodeId(1), &[MsgHeader::new(2, 1).to_word()]);
+            assert_eq!(
+                net.commit_msg(NodeId(0), MsgPriority::P1, &p1),
+                InjectResult::Accepted
+            );
+            let mut p1_cycle = None;
+            for c in 0..200 {
+                net.step();
+                if p1_cycle.is_none() && net.delivered_len(NodeId(1), MsgPriority::P1) > 0 {
+                    p1_cycle = Some(c);
+                }
             }
+            let p1_cycle = p1_cycle.expect("P1 delivered");
+            assert!(p1_cycle < 30, "bulk {bulk}: P1 starved until {p1_cycle}");
+            assert!(net.delivered_len(NodeId(1), MsgPriority::P0) > 0);
         }
-        let p1_cycle = p1_cycle.expect("P1 delivered");
-        assert!(p1_cycle < 30, "P1 starved until {p1_cycle}");
-        assert!(net.delivered_len(NodeId(1), MsgPriority::P0) > 0);
     }
 
     #[test]
     fn ejection_backpressure_blocks_and_recovers() {
-        let mut net = Network::new(NetConfig::new(MeshDims::new(2, 1, 1)));
-        // Send more words than the eject FIFO holds and do not drain.
-        send_msg(
-            &mut net,
-            NodeId(0),
-            NodeId(1),
-            MsgPriority::P0,
-            &(0..12).map(Word::int).collect::<Vec<_>>(),
-        );
-        net.run(400);
-        let cap = net.config().eject_fifo;
-        assert_eq!(net.delivered_len(NodeId(1), MsgPriority::P0), cap);
-        assert!(net.in_flight() > 0, "remaining flits must be blocked");
-        // Drain and let the rest through.
-        let mut guard = 0;
-        while !net.is_idle() {
-            while net.pop_delivered(NodeId(1), MsgPriority::P0).is_some() {}
-            net.step();
-            guard += 1;
-            assert!(guard < 1000, "network failed to drain");
+        for bulk in [true, false] {
+            let mut net = Network::new(net_config(MeshDims::new(2, 1, 1), bulk));
+            // Send more words than the eject FIFO holds and do not drain.
+            send_msg(
+                &mut net,
+                NodeId(0),
+                NodeId(1),
+                MsgPriority::P0,
+                &(0..12).map(Word::int).collect::<Vec<_>>(),
+            );
+            net.run(400);
+            let cap = net.config().eject_fifo;
+            assert_eq!(net.delivered_len(NodeId(1), MsgPriority::P0), cap);
+            assert!(net.in_flight() > 0, "remaining flits must be blocked");
+            // Drain and let the rest through.
+            let mut guard = 0;
+            while !net.is_idle() {
+                while net.pop_delivered(NodeId(1), MsgPriority::P0).is_some() {}
+                net.step();
+                guard += 1;
+                assert!(guard < 1000, "network failed to drain");
+            }
+            assert_eq!(net.stats().delivered_words, 12);
         }
-        assert_eq!(net.stats().delivered_words, 12);
     }
 
     #[test]
@@ -582,35 +589,37 @@ mod tests {
     fn wormhole_blocking_holds_links() {
         // Two messages from different sources to the same destination input:
         // the second must wait for the first's tail (no interleaving).
-        let mut net = Network::new(NetConfig::new(MeshDims::new(3, 1, 1)));
-        let dest = NodeId(2);
-        let long: Vec<Word> = std::iter::once(MsgHeader::new(1, 12).to_word())
-            .chain((0..11).map(Word::int))
-            .collect();
-        send_msg(&mut net, NodeId(0), dest, MsgPriority::P0, &long);
-        let short = [MsgHeader::new(2, 2).to_word(), Word::int(99)];
-        send_msg(&mut net, NodeId(1), dest, MsgPriority::P0, &short);
-        // Drain while stepping: the eject FIFO is smaller than the long
-        // message, so delivery needs concurrent consumption.
-        let mut words = Vec::new();
-        for _ in 0..500 {
-            net.step();
-            while let Some(w) = net.pop_delivered(dest, MsgPriority::P0) {
-                words.push(w);
+        for bulk in [true, false] {
+            let mut net = Network::new(net_config(MeshDims::new(3, 1, 1), bulk));
+            let dest = NodeId(2);
+            let long: Vec<Word> = std::iter::once(MsgHeader::new(1, 12).to_word())
+                .chain((0..11).map(Word::int))
+                .collect();
+            send_msg(&mut net, NodeId(0), dest, MsgPriority::P0, &long);
+            let short = [MsgHeader::new(2, 2).to_word(), Word::int(99)];
+            send_msg(&mut net, NodeId(1), dest, MsgPriority::P0, &short);
+            // Drain while stepping: the eject FIFO is smaller than the long
+            // message, so delivery needs concurrent consumption.
+            let mut words = Vec::new();
+            for _ in 0..500 {
+                net.step();
+                while let Some(w) = net.pop_delivered(dest, MsgPriority::P0) {
+                    words.push(w);
+                }
+                if net.in_flight() == 0 {
+                    break;
+                }
             }
-            if net.in_flight() == 0 {
-                break;
-            }
+            assert_eq!(net.in_flight(), 0, "network failed to drain");
+            assert_eq!(words.len(), 14);
+            // Messages must be contiguous: find the short header and check
+            // the next word is its payload.
+            let pos = words
+                .iter()
+                .position(|w| *w == short[0])
+                .expect("short header delivered");
+            assert_eq!(words[pos + 1], short[1], "bulk {bulk}");
         }
-        assert_eq!(net.in_flight(), 0, "network failed to drain");
-        assert_eq!(words.len(), 14);
-        // Messages must be contiguous: find the short header and check the
-        // next word is its payload.
-        let pos = words
-            .iter()
-            .position(|w| *w == short[0])
-            .expect("short header delivered");
-        assert_eq!(words[pos + 1], short[1]);
     }
 
     /// Runs dense all-to-all-ish traffic on a given shard count and returns
@@ -736,20 +745,19 @@ mod tests {
         net.set_fault_plan(FaultPlan::from_spec(
             FaultSpec::new(1).window(FaultWindow::node_down(0, 0, 50)),
         ));
-        let route = RouteWord::new(Coord::new(1, 0, 0)).to_word();
+        let msg = framed(&net, NodeId(1), &[MsgHeader::new(1, 1).to_word()]);
         assert_eq!(
-            net.inject(NodeId(0), MsgPriority::P0, route, false),
+            net.commit_msg(NodeId(0), MsgPriority::P0, &msg),
             InjectResult::Stall
         );
         // The other node is unaffected, and the window clears.
-        let loop_route = RouteWord::new(Coord::new(1, 0, 0)).to_word();
         assert_eq!(
-            net.inject(NodeId(1), MsgPriority::P0, loop_route, false),
+            net.commit_msg(NodeId(1), MsgPriority::P0, &msg),
             InjectResult::Accepted
         );
         net.run(50);
         assert_eq!(
-            net.inject(NodeId(0), MsgPriority::P0, route, false),
+            net.commit_msg(NodeId(0), MsgPriority::P0, &msg),
             InjectResult::Accepted
         );
         assert_eq!(net.stats().faults.inject_stalls, 1);

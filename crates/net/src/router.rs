@@ -1,7 +1,7 @@
-//! Per-node router state that stays per-router: ejection staging and
-//! injection framing. The channel buffers, output ownership, and credit
-//! timestamps live in the shard's flat [`crate::arena::ChannelArena`]
-//! instead, so the advance loop scans contiguous memory.
+//! Per-node router state that stays per-router: ejection staging. The
+//! channel buffers, output ownership, and credit timestamps live in the
+//! shard's flat [`crate::arena::ChannelArena`] instead, so the advance loop
+//! scans contiguous memory.
 
 use jm_isa::node::Coord;
 use jm_isa::word::Word;
@@ -88,29 +88,16 @@ pub(crate) fn ecube_route(here: Coord, dest: Coord) -> usize {
     }
 }
 
-/// Network-interface framing state for one priority's injection stream.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct InjectState {
-    /// Destination of the message currently being composed, if any.
-    pub dest: Option<Coord>,
-    /// Inject cycle of the current message's route word (for latency stats).
-    pub msg_start: u64,
-    /// Trace id of the current message ([`TraceId::NONE`] when untraced).
-    pub trace: TraceId,
-}
-
 /// One node's router: the state that is *not* channel buffering. The input
 /// rings, output ownership, occupancy, and credit timestamps live in the
 /// shard's [`crate::arena::ChannelArena`] (structure-of-arrays), leaving
-/// the router struct for the colder ejection/injection interface state.
+/// the router struct for the colder ejection interface state.
 #[derive(Debug, Clone)]
 pub(crate) struct Router {
     pub coord: Coord,
     /// Ejected payload words awaiting the node (paired with the delivering
     /// message's trace id), per vnet.
     pub ejected: [VecDeque<(Word, TraceId)>; 2],
-    /// Injection framing per vnet.
-    pub inject: [InjectState; 2],
     /// Tracing only: trace id of the message currently streaming out of the
     /// ejection port, per vnet (wormhole routing ejects messages whole, so
     /// a changed id marks a new message's first payload word).
@@ -130,7 +117,6 @@ impl Router {
         Router {
             coord,
             ejected: Default::default(),
-            inject: Default::default(),
             eject_cur: [TraceId::NONE; 2],
             eject_hdr_seen: [false; 2],
         }

@@ -38,7 +38,7 @@ use crate::router::{ecube_route, Router, IN_INJECT, OUT_EJECT};
 use crate::stats::NetStats;
 use jm_fault::{checksum_words, FaultPlan};
 use jm_isa::instr::MsgPriority;
-use jm_isa::node::{NodeId, RouteWord};
+use jm_isa::node::{Coord, NodeId, RouteWord};
 use jm_isa::tag::Tag;
 use jm_isa::word::{MsgHeader, Word};
 use jm_isa::TraceId;
@@ -460,94 +460,6 @@ impl NetShard {
         self.routers[self.local(node)].ejected[priority.index()].len()
     }
 
-    /// Offers one word to a node's injection port.
-    ///
-    /// `end` marks the final word of the message (the `SENDE` forms).
-    pub fn inject(
-        &mut self,
-        node: NodeId,
-        priority: MsgPriority,
-        word: Word,
-        end: bool,
-    ) -> InjectResult {
-        // A new injection can observe (and contend with) in-flight traffic,
-        // so a virtual bulk message must become real buffered flits first.
-        if self.bulk.is_some() {
-            self.materialize_bulk();
-        }
-        let cycle = self.cycle;
-        let inject_latency = self.config.inject_latency;
-        let fifo_cap = self.config.inject_fifo;
-        let dims = self.config.dims;
-        let l = self.local(node);
-        if self.node_down_stall(node, cycle) {
-            return InjectResult::Stall;
-        }
-        let vnet = priority.index();
-        if self.arena.len(l, vnet, IN_INJECT) + 2 > fifo_cap {
-            return InjectResult::Stall;
-        }
-        let router = &mut self.routers[l];
-        let framing = &mut router.inject[vnet];
-        let (dest, is_route, head_word) = match framing.dest {
-            None => {
-                if word.tag() != Tag::Route || end {
-                    return InjectResult::BadRoute;
-                }
-                let dest = RouteWord::from_word(word).dest;
-                if dest.x >= dims.x || dest.y >= dims.y || dest.z >= dims.z {
-                    return InjectResult::BadRoute;
-                }
-                framing.dest = Some(dest);
-                framing.msg_start = cycle;
-                self.stats.injected_msgs += 1;
-                framing.trace = match &mut self.tracer {
-                    Some(tracer) => {
-                        let id = TraceId(self.stats.injected_msgs);
-                        tracer.emit(
-                            cycle,
-                            EventKind::Inject {
-                                id,
-                                src: node,
-                                dst: dims.id(dest),
-                                priority,
-                                words: 0,
-                            },
-                        );
-                        id
-                    }
-                    None => TraceId::NONE,
-                };
-                (dest, true, true)
-            }
-            Some(dest) => {
-                if end {
-                    framing.dest = None;
-                }
-                (dest, false, false)
-            }
-        };
-        let msg_start = router.inject[vnet].msg_start;
-        let trace = router.inject[vnet].trace;
-        let pair = Flit::pair_for_word(
-            dest,
-            word,
-            is_route,
-            head_word,
-            end,
-            msg_start,
-            cycle + inject_latency,
-            trace,
-        );
-        for flit in pair {
-            self.arena.push(l, vnet, IN_INJECT, flit);
-        }
-        self.occ[l] += 2;
-        self.in_flight += 2;
-        self.active.insert(l);
-        InjectResult::Accepted
-    }
-
     /// Atomically offers a whole message to a node's injection port: the
     /// route word followed by at least one payload word. Either every word
     /// is accepted or none is (the network interface composes messages in a
@@ -559,8 +471,9 @@ impl NetShard {
         priority: MsgPriority,
         words: &[Word],
     ) -> InjectResult {
-        // See `inject`: new traffic ends the current bulk message's
-        // virtual flight before any capacity check reads the arena.
+        // A new injection can observe (and contend with) in-flight traffic,
+        // so a virtual bulk message must become real buffered flits before
+        // any capacity check reads the arena.
         if self.bulk.is_some() {
             self.materialize_bulk();
         }
@@ -595,11 +508,6 @@ impl NetShard {
             }
             _ => words,
         };
-        if self.routers[l].inject[vnet].dest.is_some() {
-            // A word-wise injection is mid-message on this port; mixing
-            // the two APIs is a programming error.
-            return InjectResult::BadRoute;
-        }
         let needed = 2 * words.len();
         if self.arena.len(l, vnet, IN_INJECT) + needed > fifo_cap {
             return InjectResult::Stall;
@@ -625,21 +533,10 @@ impl NetShard {
         if self.try_bulk(l, priority, dest, words, cycle, trace) {
             return InjectResult::Accepted;
         }
-        for (i, &word) in words.iter().enumerate() {
-            let pair = Flit::pair_for_word(
-                dest,
-                word,
-                i == 0,
-                i == 0,
-                i + 1 == words.len(),
-                cycle,
-                cycle + inject_latency,
-                trace,
-            );
-            for flit in pair {
-                self.arena.push(l, vnet, IN_INJECT, flit);
-            }
-        }
+        let ready = cycle + inject_latency;
+        msg_flits(dest, words, cycle, ready, trace, |flit| {
+            self.arena.push(l, vnet, IN_INJECT, flit);
+        });
         self.occ[l] += needed as u32;
         self.in_flight += needed as u64;
         self.active.insert(l);
@@ -657,7 +554,7 @@ impl NetShard {
         &mut self,
         l: usize,
         priority: MsgPriority,
-        dest: jm_isa::node::Coord,
+        dest: Coord,
         words: &[Word],
         cycle: u64,
         trace: TraceId,
@@ -680,10 +577,9 @@ impl NetShard {
             return false;
         }
         debug_assert!(self.bulk.is_none(), "bulk engaged while one is in flight");
-        // Walk the e-cube route, collecting hops and checking that no
-        // output port along it is still held by an earlier wormhole (a
-        // partially-injected message can leave ownership behind with zero
-        // flits in flight).
+        // Walk the e-cube route, collecting hops. Messages enter whole and a
+        // tail flit releases every port its wormhole held, so with no flit
+        // in flight no output port can still be owned.
         let mut path = vec![l as u32];
         let mut outs: Vec<u8> = Vec::new();
         let mut bisect: Vec<u32> = Vec::new();
@@ -691,9 +587,10 @@ impl NetShard {
         loop {
             let n = *path.last().expect("path starts non-empty") as usize;
             let out = ecube_route(here, dest);
-            if self.arena.owner(n, vnet, out) >= 0 {
-                return false;
-            }
+            debug_assert!(
+                self.arena.owner(n, vnet, out) < 0,
+                "output port owned with no flit in flight"
+            );
             if out == OUT_EJECT {
                 break;
             }
@@ -710,26 +607,16 @@ impl NetShard {
             here = self.routers[next as usize].coord;
         }
         debug_assert_eq!(*path.last().expect("non-empty") as usize, dest_l);
+        let q = cycle + self.config.inject_latency;
         let mut flits = Vec::with_capacity(2 * words.len());
-        for (i, &word) in words.iter().enumerate() {
-            flits.extend(Flit::pair_for_word(
-                dest,
-                word,
-                i == 0,
-                i == 0,
-                i + 1 == words.len(),
-                cycle,
-                cycle + self.config.inject_latency,
-                trace,
-            ));
-        }
+        msg_flits(dest, words, cycle, q, trace, |flit| flits.push(flit));
         self.in_flight += flits.len() as u64;
         self.bulk = Some(BulkMsg {
             flits,
             path,
             outs,
             bisect,
-            q: cycle + self.config.inject_latency,
+            q,
             vnet,
         });
         true
@@ -1355,11 +1242,9 @@ impl NetShard {
     /// invisible by construction.
     ///
     /// The digest covers the channel-arena queues plus the router's
-    /// interface state: the ejected-word FIFO and the injection framing.
-    /// Trace ids, the `eject_cur` trace cursor, and statistics are excluded
-    /// (observability state); `eject_hdr_seen` is included (it steers fault
-    /// corruption). The stale `msg_start` of a closed injection stream is
-    /// masked by folding it only while a message is open.
+    /// interface state: the ejected-word FIFO. Trace ids, the `eject_cur`
+    /// trace cursor, and statistics are excluded (observability state);
+    /// `eject_hdr_seen` is included (it steers fault corruption).
     pub(crate) fn fold_components(&mut self, f: &mut dyn FnMut(NodeId, usize, u64)) {
         if self.bulk.is_some() {
             self.materialize_bulk();
@@ -1374,19 +1259,36 @@ impl NetShard {
                     h.write_u8(w.tag().bits());
                     h.write_u32(w.bits());
                 }
-                match router.inject[vnet].dest {
-                    Some(dest) => {
-                        h.write_u8(1);
-                        h.write_u8(dest.x);
-                        h.write_u8(dest.y);
-                        h.write_u8(dest.z);
-                        h.write_u64(router.inject[vnet].msg_start);
-                    }
-                    None => h.write_u8(0),
-                }
                 h.write_u8(u8::from(router.eject_hdr_seen[vnet]));
                 f(NodeId((self.base + l) as u32), vnet, h.finish());
             }
+        }
+    }
+}
+
+/// Expands a whole message — route word first — into its flits, two per
+/// word, handing each to `push` in wire order.
+fn msg_flits(
+    dest: Coord,
+    words: &[Word],
+    inject_cycle: u64,
+    ready_cycle: u64,
+    trace: TraceId,
+    mut push: impl FnMut(Flit),
+) {
+    let last = words.len() - 1;
+    for (i, &word) in words.iter().enumerate() {
+        let pair = Flit::pair_for_word(
+            dest,
+            word,
+            i == 0,
+            i == last,
+            inject_cycle,
+            ready_cycle,
+            trace,
+        );
+        for flit in pair {
+            push(flit);
         }
     }
 }

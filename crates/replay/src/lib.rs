@@ -372,7 +372,6 @@ mod tests {
                 engine: 1,
                 threads: 0,
                 quantum: 0,
-                sched: 0,
                 mdp: MdpConfig::default(),
                 net: NetConfig::new(dims),
             },
@@ -458,6 +457,24 @@ mod tests {
         let bytes = sample_log().to_bytes();
         assert!(ReplayLog::from_bytes(&bytes[..bytes.len() - 3]).is_err());
         assert!(ReplayLog::from_bytes(b"not a log").is_err());
+    }
+
+    #[test]
+    fn corrupt_counts_error_instead_of_aborting() {
+        let log = sample_log();
+        let bytes = log.to_bytes();
+        // The instruction-count field is the first byte that differs from
+        // the same log with one instruction fewer.
+        let mut shorter = log.clone();
+        shorter.program.code.pop();
+        let at = bytes
+            .iter()
+            .zip(shorter.to_bytes())
+            .position(|(&a, b)| a != b)
+            .expect("logs differ");
+        let mut bad = bytes;
+        bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ReplayLog::from_bytes(&bad).is_err());
     }
 
     #[test]

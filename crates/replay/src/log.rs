@@ -17,7 +17,7 @@
 
 use jm_asm::{DataBlock, Program, SymbolValue};
 use jm_fault::{FaultSpec, FaultWindow, FaultWindowKind};
-use jm_isa::encode::{decode, encode, Encoded};
+use jm_isa::encode::{decode, encode, Encoded, SLOT_BITS};
 use jm_isa::node::MeshDims;
 use jm_isa::tag::Tag;
 use jm_isa::word::{SegDesc, Word};
@@ -65,17 +65,17 @@ impl std::error::Error for LogError {}
 
 /// The machine configuration a log was recorded under, as plain data.
 ///
-/// Engine, thread count, quantum, and scheduler mode are *metadata*: the
-/// three engines are bit-identical by construction, so a replay may run
-/// under any of them — these fields record what the original run used so a
-/// divergence report can name both sides. Everything else (dims, start
-/// policy, timing, queue depths, network buffers) shapes simulated
-/// behavior and must be reproduced exactly.
+/// Engine, thread count, quantum, and scan policy (`net.scan`) are
+/// *metadata*: the three engines are bit-identical by construction, so a
+/// replay may run under any of them — these fields record what the
+/// original run used so a divergence report can name both sides.
+/// Everything else (dims, start policy, timing, queue depths, network
+/// buffers) shapes simulated behavior and must be reproduced exactly.
 ///
 /// Discriminant fields mirror `jm-machine` enums this crate cannot name
 /// (it sits below `jm-machine` in the dependency order): `start` is
 /// 0 = Node0 / 1 = AllNodes / 2 = None, `engine` is 0 = Naive / 1 = Event /
-/// 2 = Parallel, `sched` is 0 = Auto / 1 = ForcedEvent / 2 = ForcedScan.
+/// 2 = Parallel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordedConfig {
     /// Mesh dimensions.
@@ -88,8 +88,6 @@ pub struct RecordedConfig {
     pub threads: u32,
     /// Scheduling quantum of the recording run (0 = auto).
     pub quantum: u32,
-    /// Scheduler-mode discriminant.
-    pub sched: u8,
     /// Node configuration (timing model, queue depths, checksum mode).
     pub mdp: MdpConfig,
     /// Network configuration (buffer depths, latencies, bulk fast path).
@@ -281,7 +279,12 @@ impl ReplayLog {
         w.u8(c.engine);
         w.u32(c.threads);
         w.u32(c.quantum);
-        w.u8(c.sched);
+        // The scan-policy byte: 0 = Auto / 1 = ForcedSparse / 2 = ForcedDense.
+        w.u8(match c.net.scan {
+            ScanPolicy::Auto => 0,
+            ScanPolicy::ForcedSparse => 1,
+            ScanPolicy::ForcedDense => 2,
+        });
         w.u64(self.interval);
         let t = &c.mdp.timing;
         for v in [
@@ -477,7 +480,13 @@ impl ReplayLog {
         let engine = r.u8()?;
         let threads = r.u32()?;
         let quantum = r.u32()?;
-        let sched = r.u8()?;
+        // Out-of-range values fall back to the default rather than failing
+        // a hand-edited log.
+        let scan = match r.u8()? {
+            1 => ScanPolicy::ForcedSparse,
+            2 => ScanPolicy::ForcedDense,
+            _ => ScanPolicy::Auto,
+        };
         let interval = r.u64()?;
         let timing = TimingConfig {
             base: r.u64()?,
@@ -509,7 +518,7 @@ impl ReplayLog {
             inject_fifo: r.u64()? as usize,
             inject_latency: r.u64()?,
             eject_fifo: r.u64()? as usize,
-            scan: ScanPolicy::default(),
+            scan,
             bulk: r.u8()? != 0,
         };
         let fault = if r.u8()? != 0 {
@@ -558,12 +567,18 @@ impl ReplayLog {
             None
         };
         let ninstr = r.u32()?;
-        let mut code = Vec::with_capacity(ninstr as usize);
+        let mut code = Vec::with_capacity(r.capacity(ninstr, 1));
         for i in 0..ninstr {
             let nslots = r.u8()?;
-            let mut slots = Vec::with_capacity(nslots as usize);
+            let mut slots = Vec::with_capacity(r.capacity(u32::from(nslots), 4));
             for _ in 0..nslots {
-                slots.push(r.u32()?);
+                let slot = r.u32()?;
+                if slot >> SLOT_BITS != 0 {
+                    return Err(LogError::new(format!(
+                        "instruction {i}: slot {slot:#x} exceeds {SLOT_BITS} bits"
+                    )));
+                }
+                slots.push(slot);
             }
             let instr = decode(&Encoded::from_slots(&slots))
                 .map_err(|e| LogError::new(format!("instruction {i}: {e}")))?;
@@ -572,13 +587,13 @@ impl ReplayLog {
         let code_base = r.u32()?;
         let code_words = r.u32()?;
         let nblocks = r.u32()?;
-        let mut data = Vec::with_capacity(nblocks as usize);
+        let mut data = Vec::with_capacity(r.capacity(nblocks, 14));
         for _ in 0..nblocks {
             let name = r.name()?;
             let base = r.u32()?;
             let len = r.u32()?;
             let ninit = r.u32()?;
-            let mut init = Vec::with_capacity(ninit as usize);
+            let mut init = Vec::with_capacity(r.capacity(ninit, 5));
             for _ in 0..ninit {
                 init.push(r.word()?);
             }
@@ -632,7 +647,7 @@ impl ReplayLog {
                     let node = r.u32()?;
                     let priority = r.u8()?;
                     let nwords = r.u32()?;
-                    let mut words = Vec::with_capacity(nwords as usize);
+                    let mut words = Vec::with_capacity(r.capacity(nwords, 5));
                     for _ in 0..nwords {
                         words.push(r.word()?);
                     }
@@ -672,7 +687,6 @@ impl ReplayLog {
                 engine,
                 threads,
                 quantum,
-                sched,
                 mdp,
                 net,
             },
@@ -753,6 +767,13 @@ impl Reader<'_> {
     }
     fn at_end(&self) -> bool {
         self.pos == self.bytes.len()
+    }
+    /// Capacity to reserve for `count` elements of at least `min_bytes`
+    /// encoded bytes each: an on-disk count is untrusted, so it is capped
+    /// by what the remaining input could hold (a corrupt count then ends
+    /// in a truncation error instead of an allocation abort).
+    fn capacity(&self, count: u32, min_bytes: usize) -> usize {
+        (count as usize).min((self.bytes.len() - self.pos) / min_bytes)
     }
     fn u8(&mut self) -> Result<u8, LogError> {
         Ok(self.take(1)?[0])

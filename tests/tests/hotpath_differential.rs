@@ -24,8 +24,9 @@ use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
 use jm_machine::{
-    Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineStats, SchedMode, StartPolicy,
+    Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineStats, StartPolicy,
 };
+use jm_net::ScanPolicy;
 use jm_runtime::nnr;
 
 /// Everything observable about a finished run.
@@ -106,31 +107,32 @@ fn base_config(nodes: u32) -> MachineConfig {
     MachineConfig::new(nodes).start(StartPolicy::AllNodes)
 }
 
-/// The scan-mode switch (event-driven active-set vs dense full-scan) is a
-/// scheduling strategy, not a semantic: forcing either extreme must
+/// The scan-policy switch (event-driven active-set vs dense full-scan) is
+/// a scheduling strategy, not a semantic: forcing either extreme must
 /// reproduce the adaptive run and the naive reference bit for bit, on the
-/// serial event engine and on real sharded workers.
+/// serial event engine and on real sharded workers. The machine runs the
+/// policy the config asked for and reports it back unchanged.
 #[test]
-fn sched_modes_bit_identical() {
+fn scan_policies_bit_identical() {
     let nodes = 64; // single 64-node shard: over the dense-mode floor
     let max = 1_000_000;
     let baseline = observe(ring_program(2, true), base_config(nodes), max);
-    let variants: &[(Engine, SchedMode)] = &[
-        (Engine::Naive, SchedMode::ForcedScan),
-        (Engine::Event, SchedMode::Auto),
-        (Engine::Event, SchedMode::ForcedEvent),
-        (Engine::Event, SchedMode::ForcedScan),
-        (Engine::Parallel(2), SchedMode::Auto),
-        (Engine::Parallel(2), SchedMode::ForcedScan),
-        (Engine::Parallel(4), SchedMode::ForcedEvent),
+    let variants: &[(Engine, ScanPolicy)] = &[
+        (Engine::Naive, ScanPolicy::ForcedDense),
+        (Engine::Event, ScanPolicy::Auto),
+        (Engine::Event, ScanPolicy::ForcedSparse),
+        (Engine::Event, ScanPolicy::ForcedDense),
+        (Engine::Parallel(2), ScanPolicy::Auto),
+        (Engine::Parallel(2), ScanPolicy::ForcedDense),
+        (Engine::Parallel(4), ScanPolicy::ForcedSparse),
     ];
-    for &(engine, sched) in variants {
-        let got = observe(
-            ring_program(2, true),
-            base_config(nodes).engine(engine).sched_mode(sched),
-            max,
-        );
-        assert_eq!(baseline, got, "{engine:?}/{sched:?} diverged from baseline");
+    for &(engine, scan) in variants {
+        let mut config = base_config(nodes).engine(engine);
+        config.net.scan = scan;
+        let m = JMachine::new(ring_program(2, true), config);
+        assert_eq!(m.config().net.scan, scan, "{engine:?} overwrote net.scan");
+        let got = observe(ring_program(2, true), config, max);
+        assert_eq!(baseline, got, "{engine:?}/{scan:?} diverged from baseline");
     }
 }
 
